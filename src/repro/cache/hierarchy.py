@@ -121,7 +121,10 @@ class CacheHierarchy:
     def observer(self):
         """Optional telemetry observer (``repro.obs.sampler.CacheSampler``)
         with an ``on_batch(hierarchy)`` method, called after every access
-        batch.  Same contract as ``oracle``: ``None`` means off."""
+        batch.  Same contract as ``oracle``: ``None`` means off.  An
+        observer reads statistics only: a vectorized trace replay
+        (``repro.trace.replay``) calls it once per chunk with exact
+        statistics but no per-line L1D state."""
         return self._observer
 
     @observer.setter

@@ -63,11 +63,12 @@ def run_versions(
         key = trace_key_for(program, config, machine, 4096)
         stored = store.get(key)
         if stored is not None:
-            log.info(
-                "trace store: replaying %s/%s on %s (%.8s)",
-                key.app, name, machine.name, key.digest,
-            )
             results[name] = simulator.replay(stored)
+            log.info(
+                "trace store: replaying %s/%s on %s (%.8s, %s)",
+                key.app, name, machine.name, key.digest,
+                results[name].replay_path,
+            )
             continue
         capture = TraceCapture()
         result = simulator.run(program, capture=capture)

@@ -260,7 +260,12 @@ class Simulator:
         distribution come from the header, which is everything the
         timing model and :class:`SimResult` need.  ``payload`` is
         ``None``: replay reproduces *statistics*, not the program's
-        numeric output.
+        numeric output.  Each chunk of the stream is one batch step:
+        the vectorized direct-mapped L1D step of
+        :func:`repro.trace.replay.replay_stream` where
+        :func:`~repro.trace.replay.fast_replay_supported` allows it,
+        ``access_data`` (the dict kernel) otherwise; the result's
+        ``replay_path`` names which.
         """
         program_name = stored.program
         if stored.machine != self.machine.name:
@@ -300,44 +305,30 @@ class Simulator:
                 hierarchy.charge_code_footprint(
                     stored.header["code_footprint"]
                 )
-            from repro.trace.replay import (
-                fast_replay_supported,
-                replay_stream,
-            )
+            from repro.trace.replay import fast_replay_supported, replay_stream
 
+            lines, counts = stored.lines, stored.counts
+            ends, writes = stored.batch_ends, stored.batch_writes
             if fast_replay_supported(hierarchy, stored):
-                # Vectorized path: direct-mapped L1D, no sidecars — the
-                # whole stream as a handful of numpy passes plus the
-                # ordinary L2 kernel over the (much smaller) miss
-                # stream.  Byte-identical to the dict kernel.
-                replay_stream(hierarchy, stored)
+                replay_path, step = "vectorized", replay_stream(hierarchy, stored)
             else:
-                access = hierarchy.access_data
-                lines, counts = stored.lines, stored.counts
-                ends, writes = stored.batch_ends, stored.batch_writes
-                # Merging adjacent batches preserves every statistic —
-                # the expanded reference sequence is unchanged, and the
-                # kernel, L2 forwarding, and read/write bookkeeping
-                # depend only on that sequence — so replay coalesces
-                # the (often tiny) recorded batches into large
-                # contiguous chunks, amortizing per-batch overhead.
-                # The memory-mapped views are sliced per chunk and
-                # handed to the dict-based kernel as lists (its fastest
-                # input form); the file itself is read zero-copy
-                # through the page cache.
-                cuts = _chunk_batches(ends)
-                cum_writes = np.concatenate(
-                    ([0], np.cumsum(writes, dtype=np.int64))
-                )
-                start = prev = 0
-                for cut in cuts:
-                    end = int(ends[cut - 1])
-                    access(
-                        lines[start:end].tolist(),
-                        counts[start:end].tolist(),
-                        int(cum_writes[cut] - cum_writes[prev]),
-                    )
-                    start, prev = end, cut
+                access, replay_path = hierarchy.access_data, "dict"
+
+                def step(start: int, end: int, chunk_writes: int) -> None:
+                    access(lines[start:end].tolist(), counts[start:end].tolist(), chunk_writes)
+
+            # Merging adjacent batches preserves every statistic — the
+            # expanded reference sequence is unchanged, and the kernels,
+            # L2 forwarding, and read/write bookkeeping depend only on
+            # that sequence — so replay coalesces the (often tiny)
+            # recorded batches into large contiguous chunks, one batch
+            # step and one sidecar call each.  The memory-mapped file is
+            # read zero-copy through the page cache, a chunk at a time.
+            start = prev = 0
+            for cut in _chunk_batches(ends):
+                end = int(ends[cut - 1])
+                step(start, end, int(writes[prev:cut].sum(dtype=np.int64)))
+                start, prev = end, cut
             hierarchy.fetch_instructions(
                 stored.header["app_instructions"]
                 + stored.header["thread_instructions"]
@@ -375,4 +366,5 @@ class Simulator:
             payload=None,
             thread_faults=[],
             verified=verify_run,
+            replay_path=replay_path,
         )

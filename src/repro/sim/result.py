@@ -35,6 +35,9 @@ class SimResult:
     thread_faults: list = field(default_factory=list)
     #: Whether the runtime-verification oracles audited this run.
     verified: bool = False
+    #: The L1D step a trace replay took (``"vectorized"`` or ``"dict"``);
+    #: ``None`` for a live run.
+    replay_path: str | None = None
 
     # -- performance-table view ----------------------------------------
     @property

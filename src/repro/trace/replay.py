@@ -1,47 +1,57 @@
-"""Vectorized replay of a stored trace into a cache hierarchy.
+"""Vectorized L1D step for replaying a stored trace, one chunk at a time.
 
-The dict-based kernel walks a stream one run-length entry at a time;
-replaying a stored trace can do better because everything sequential
-has been lifted out of the loop:
+:meth:`repro.sim.engine.Simulator.replay` walks a stored stream in
+chunks of whole recorded batches and hands each chunk to one batch
+step.  The ordinary step is ``CacheHierarchy.access_data`` (the dict
+kernel, every sidecar hook).  For a direct-mapped L1D,
+:func:`replay_stream` builds a cheaper step, because everything
+sequential can be lifted out of the L1 loop:
 
 * consecutive-duplicate entries are guaranteed hits with no state
-  change, so the stream is deduplicated with one vectorized compare;
+  change, so each chunk is deduplicated with one vectorized compare
+  (the previous chunk's last line is the predecessor at the seam);
 * a *direct-mapped* cache has no LRU state — an access hits exactly
   when the previous access to its set was the same line — so hits and
-  misses fall out of one stable sort by set index and two shifted
-  compares;
-* compulsory misses are first-ever occurrences (``np.unique``);
+  misses fall out of one stable sort by set index and a shifted
+  compare, with each set's resident line carried into the next chunk;
+* a miss is compulsory when its line is not in the first-touch history,
+  a sorted array of the distinct lines seen so far (its memory grows
+  with the distinct lines, never with the span of line numbers);
 * the capacity/conflict split needs the fully-associative shadow, whose
   LRU state *is* inherently sequential — which is why the store
   simulates it once at write time and ships the per-entry hit bits in
-  the container (:func:`repro.trace.store.shadow_hit_bits`).
+  the container (:func:`repro.trace.store.shadow_hit_bits`); each chunk
+  takes its slice.
 
-The result is byte-identical to the dict kernel (the round-trip tests
-pin all four paper apps), but runs at numpy speed for the L1D — the
-level that sees every reference.  L1 misses still flow through the
-ordinary ``ClassifyingCache.process`` for the L2 (any associativity):
-that stream is one to two orders of magnitude smaller.
+L1 misses flow through the ordinary L2 kernel (any associativity: that
+stream is one to two orders of magnitude smaller), and an attached
+observer — the telemetry ``CacheSampler`` — gets one ``on_batch`` per
+chunk with exact cumulative statistics: the same calls, at the same
+boundaries, as on the dict path.  Memory is bounded by the chunk, not
+the stream.  The result is byte-identical to the dict kernel (the
+round-trip tests pin all four paper apps).
 
-Only direct-mapped L1Ds take this path (both paper machines' R8000;
-the R10000's 2-way L1 falls back to the chunked dict-kernel replay in
-:meth:`repro.sim.engine.Simulator.replay`) and only when no sidecar
-(oracle/observer/profiler) needs per-batch hooks.
+Only direct-mapped L1Ds take this step (both paper machines' R8000; the
+R10000's 2-way L1 keeps the dict kernel), and only with no oracle,
+profiler or tap: those sidecars read the per-batch dict state or the
+batch itself.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from repro.trace.store import StoredTrace, dedup_mask
+from repro.trace.store import StoredTrace
 
 
 def fast_replay_supported(hierarchy, stored: StoredTrace) -> bool:
-    """Whether :func:`replay_stream` can replay ``stored`` exactly."""
+    """Whether :func:`replay_stream`'s step replays ``stored`` exactly."""
     return (
         hierarchy.l1d.config.associativity == 1
         and hierarchy.l2_page_mapper is None
         and hierarchy.oracle is None
-        and hierarchy.observer is None
         and hierarchy.profiler is None
         and hierarchy.tap is None
         and len(stored.shadow_hits) > 0
@@ -49,91 +59,86 @@ def fast_replay_supported(hierarchy, stored: StoredTrace) -> bool:
     )
 
 
-def replay_stream(hierarchy, stored: StoredTrace) -> None:
-    """Replay the whole stored stream into ``hierarchy`` vectorized.
+def replay_stream(hierarchy, stored: StoredTrace) -> Callable[[int, int, int], None]:
+    """The vectorized batch step replaying ``stored`` into ``hierarchy``.
 
-    Mutates the hierarchy's counters and the L1D statistics directly
-    (accesses, the three miss classes, the compulsory-history set) and
-    forwards the ordered L1 miss lines through the ordinary L2 kernel.
-    The per-level dict state (real sets, shadow) is left empty — nothing
-    that feeds :meth:`~repro.cache.hierarchy.CacheHierarchy.snapshot`
-    reads it, and the sidecar checks in :func:`fast_replay_supported`
-    guarantee nobody else does either.
+    ``step(start, end, writes)`` replays stream entries ``[start, end)``
+    (``writes`` of their references are stores) with the effect of one
+    ``access_data`` batch on everything the statistics read: the
+    read/write counters, the L1D statistics and compulsory-miss history
+    (``_seen``), the L2 and the observer.  Chunks must arrive in stream
+    order.  The L1D's dict state (real sets, shadow) stays empty —
+    neither :meth:`~repro.cache.hierarchy.CacheHierarchy.snapshot` nor
+    the sampler reads it, and :func:`fast_replay_supported` keeps every
+    sidecar that does on the dict path.
     """
-    lines = np.asarray(stored.lines)
-    total_refs = int(np.sum(stored.counts, dtype=np.int64))
-    writes_total = int(np.sum(stored.batch_writes, dtype=np.int64))
-    hierarchy._data_reads += total_refs - writes_total
-    hierarchy._data_writes += writes_total
-    l1 = hierarchy.l1d
-    l1.stats.accesses += total_refs
-    if len(lines) == 0:
-        return
-
-    deduped = lines[dedup_mask(lines)]
-    shadow_hit = np.asarray(stored.shadow_hits, dtype=bool)
-    if len(shadow_hit) != len(deduped):
-        raise ValueError(
-            "stored shadow annotation does not match the stream "
-            f"({len(shadow_hit)} bits for {len(deduped)} entries)"
-        )
-
-    # Line numbers span a tiny fraction of the int64 range (addresses
-    # come from one allocator arena), so both radix sorts below run on
-    # rebased 32-bit values — half the byte passes of an int64 sort.
-    base = np.int64(deduped.min())
-    if int(deduped.max()) - int(base) < np.iinfo(np.int32).max:
-        rebased = (deduped - base).astype(np.int32)
-    else:
-        rebased = deduped
-        base = np.int64(0)
-
-    # Direct-mapped hit/miss: group accesses by set with a stable sort;
-    # within a set's subsequence, an access misses exactly when it is
-    # the set's first access or a different line than its predecessor.
-    set_ids = (deduped & np.int64(l1.real._set_mask)).astype(np.int32)
-    order = np.argsort(set_ids, kind="stable")
-    sorted_sets = set_ids[order]
-    sorted_lines = rebased[order]
-    miss_sorted = np.empty(len(deduped), dtype=bool)
-    miss_sorted[0] = True
-    np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=miss_sorted[1:])
-    miss_sorted[1:] |= sorted_lines[1:] != sorted_lines[:-1]
-    miss = np.empty(len(deduped), dtype=bool)
-    miss[order] = miss_sorted
-
-    # Classification: first-ever occurrences are compulsory; the rest
-    # split capacity/conflict on the stored shadow verdict.  (A stable
-    # radix argsort groups equal lines with ascending original indices,
-    # so each group's head is the global first occurrence — the same
-    # result as np.unique(return_index=True) at a fraction of its
-    # mergesort cost.)
-    value_order = np.argsort(rebased, kind="stable")
-    sorted_values = rebased[value_order]
-    new_group = np.empty(len(deduped), dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new_group[1:])
-    unique_lines = sorted_values[new_group].astype(np.int64) + base
-    first_occurrence = np.zeros(len(deduped), dtype=bool)
-    first_occurrence[value_order[new_group]] = True
-    repeat_miss = miss & ~first_occurrence
-    n_compulsory = len(unique_lines)
-    n_conflict = int(np.count_nonzero(repeat_miss & shadow_hit))
-    n_capacity = int(np.count_nonzero(repeat_miss & ~shadow_hit))
-    n_misses = int(np.count_nonzero(miss))
-    assert n_compulsory + n_capacity + n_conflict == n_misses
-
-    l1.stats.misses += n_misses
-    l1.stats.compulsory += n_compulsory
-    l1.stats.capacity += n_capacity
-    l1.stats.conflict += n_conflict
-    l1._seen.update(unique_lines.tolist())
-
-    # Forward the ordered miss stream through the ordinary L2 kernel —
-    # small enough that the dict loop is fine, and it keeps the L2's
-    # classification machinery authoritative for any associativity.
-    miss_lines = deduped[miss]
+    l1, l2 = hierarchy.l1d, hierarchy.l2
+    observer = hierarchy.observer
     shift = hierarchy._l2_shift
-    if shift:
-        miss_lines = miss_lines >> shift
-    hierarchy.l2.process(miss_lines.tolist())
+    set_mask = np.int64(l1.real._set_mask)
+    set_dtype = np.min_scalar_type(l1.config.num_sets - 1)
+    lines, counts, shadow_hits = stored.lines, stored.counts, stored.shadow_hits
+    # Carried between chunks.  Line numbers are non-negative, so -1
+    # marks an empty set, no predecessor, and (as the history's first
+    # element) keeps every history lookup in bounds.
+    resident = np.full(l1.config.num_sets, -1, dtype=np.int64)
+    history = np.array([-1], dtype=np.int64)
+    previous = -1
+    offset = 0  # next chunk's first entry in the deduplicated stream
+
+    def step(start: int, end: int, writes: int) -> None:
+        nonlocal history, previous, offset
+        total = int(counts[start:end].sum(dtype=np.int64))
+        hierarchy._data_reads += total - writes
+        hierarchy._data_writes += writes
+        l1.stats.accesses += total
+        chunk = np.asarray(lines[start:end])
+        keep = np.empty(len(chunk), dtype=bool)
+        if len(chunk):
+            keep[0] = chunk[0] != previous
+            np.not_equal(chunk[1:], chunk[:-1], out=keep[1:])
+            previous = int(chunk[-1])
+        deduped = chunk[keep]
+        n = len(deduped)
+        shadow_hit = shadow_hits[offset : offset + n]
+        offset += n
+        if len(shadow_hit) != n or (end == len(lines) and offset != len(shadow_hits)):
+            raise ValueError("stored shadow annotation does not match the stream")
+        if n:
+            # Group the chunk by set with a stable sort; an access misses
+            # exactly when its line differs from the set's previous line —
+            # its predecessor in the group, or the carried resident line
+            # at the group's head.  Each group's tail becomes resident.
+            sets = (deduped & set_mask).astype(set_dtype)
+            order = np.argsort(sets, kind="stable")
+            by_set, by_line = sets[order], deduped[order]
+            head = np.empty(n, dtype=bool)
+            head[0] = True
+            np.not_equal(by_set[1:], by_set[:-1], out=head[1:])
+            before = np.roll(by_line, 1)
+            before[head] = resident[by_set[head]]
+            tail = np.roll(head, -1)
+            resident[by_set[tail]] = by_line[tail]
+            miss = np.empty(n, dtype=bool)
+            miss[order] = by_line != before
+            misses = deduped[miss]
+
+            # A line never touched before misses in the shadow too, so
+            # every shadow-hit miss is a conflict; the compulsory ones
+            # are the misses absent from the history.
+            slot = np.searchsorted(history, misses)
+            fresh = np.unique(misses[history.take(slot, mode="clip") != misses])
+            history = np.insert(history, np.searchsorted(history, fresh), fresh)
+            n_conflict = int(np.count_nonzero(shadow_hit[miss]))
+            stats = l1.stats
+            stats.misses += len(misses)
+            stats.compulsory += len(fresh)
+            stats.conflict += n_conflict
+            stats.capacity += len(misses) - len(fresh) - n_conflict
+            l1._seen.update(fresh.tolist())
+            if len(misses):
+                l2.process((misses >> shift).tolist())
+        if observer is not None:
+            observer.on_batch(hierarchy)
+
+    return step

@@ -109,6 +109,9 @@ class TestCampaignIntegration:
         code, out = run_once()
         assert code == 0
         assert "trace store: replaying" in out
+        # Default telemetry keeps the R8000's vectorized L1D replay.
+        assert ", vectorized)" in out
+        assert ", dict)" not in out
         assert "trace store: stored" not in out
 
     def test_trace_store_none_disables(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Simulator.replay: guards, chunking, and the verified slow path."""
+"""Simulator.replay: guards, chunking, sidecars, and the sampler."""
 
 from dataclasses import replace
 
@@ -7,8 +7,13 @@ import pytest
 
 from repro.apps.sor import SorConfig, VERSIONS as SOR
 from repro.machine.presets import r8000
+from repro.machine.spec import MachineSpec
 from repro.mem.paging import PageMapper
+from repro.obs.sampler import DEFAULT_INTERVAL, CacheSampler
+from repro.obs.telemetry import Telemetry
+from repro.sim import engine
 from repro.sim.engine import REPLAY_CHUNK_LINES, Simulator, _chunk_batches
+from repro.trace import replay as replay_module
 from repro.trace.replay import fast_replay_supported
 from repro.trace.store import TraceCapture, TraceStore, trace_key_for
 
@@ -51,20 +56,124 @@ class TestReplayGuards:
             Simulator(machine, verify=False).replay(stored)
 
 
-class TestVerifiedReplay:
-    def test_oracle_declines_fast_path_but_stats_agree(self, stored_sor):
-        # With verification on, the replay hierarchy carries a cache
-        # oracle, so fast_replay_supported must refuse and the chunked
-        # dict-kernel path runs under full oracle cross-checking.
-        machine, live, stored = stored_sor
-        hierarchy = machine.build_hierarchy()
-        assert fast_replay_supported(hierarchy, stored)
+@pytest.fixture()
+def vectorized_steps(monkeypatch):
+    """Records every vectorized step :func:`replay_stream` builds."""
+    built = []
+    real = replay_module.replay_stream
 
+    def spy(hierarchy, stored):
+        built.append(hierarchy)
+        return real(hierarchy, stored)
+
+    monkeypatch.setattr(replay_module, "replay_stream", spy)
+    return built
+
+
+def with_sidecar(monkeypatch, attach):
+    """Make every hierarchy the replay builds carry ``attach``'s sidecar."""
+    build = MachineSpec.build_hierarchy
+
+    def built(self, *args):
+        hierarchy = build(self, *args)
+        attach(hierarchy)
+        return hierarchy
+
+    monkeypatch.setattr(MachineSpec, "build_hierarchy", built)
+
+
+class RecordingProfiler:
+    def __init__(self):
+        self.batches = 0
+
+    def on_batch(self, hierarchy, *args):
+        self.batches += 1
+
+
+class TestVerifiedReplay:
+    def test_oracle_declines_fast_path_but_stats_agree(
+        self, stored_sor, vectorized_steps
+    ):
+        # With verification on, the replay hierarchy carries a cache
+        # oracle, so the chunked dict-kernel path runs under full oracle
+        # cross-checking and the vectorized step is never built (without
+        # the oracle this trace is vectorized, as the next class shows).
+        machine, live, stored = stored_sor
         replayed = Simulator(machine, verify=True).replay(stored)
+        assert vectorized_steps == []
+        assert replayed.replay_path == "dict"
         assert replayed.verified
         assert replayed.stats == live.stats
         assert replayed.time == live.time
         assert replace(replayed.sched, seq=0) == replace(live.sched, seq=0)
+
+
+class TestSidecarsKeepTheDictKernel:
+    # Without sidecars this trace takes the vectorized step, so each
+    # test below shows its sidecar is what turns it away.
+    def test_bare_hierarchy_is_vectorized(self, stored_sor, vectorized_steps):
+        machine, live, stored = stored_sor
+        assert fast_replay_supported(machine.build_hierarchy(), stored)
+        replayed = Simulator(machine, verify=False).replay(stored)
+        assert replayed.replay_path == "vectorized"
+        assert len(vectorized_steps) == 1
+        assert replayed.stats == live.stats
+
+    def test_profiler_declines_fast_path(
+        self, stored_sor, vectorized_steps, monkeypatch
+    ):
+        machine, live, stored = stored_sor
+        profiler = RecordingProfiler()
+        with_sidecar(monkeypatch, lambda h: setattr(h, "profiler", profiler))
+        replayed = Simulator(machine, verify=False).replay(stored)
+        assert vectorized_steps == []
+        assert replayed.replay_path == "dict"
+        assert profiler.batches == len(_chunk_batches(stored.batch_ends))
+        assert replayed.stats == live.stats
+
+    def test_tap_declines_fast_path(self, stored_sor, vectorized_steps, monkeypatch):
+        machine, live, stored = stored_sor
+        capture = TraceCapture()
+        with_sidecar(monkeypatch, lambda h: setattr(h, "tap", capture))
+        replayed = Simulator(machine, verify=False).replay(stored)
+        assert vectorized_steps == []
+        assert replayed.replay_path == "dict"
+        # The tap sees the whole stream, a chunk per batch.
+        assert np.array_equal(capture.arrays()["lines"], stored.lines)
+        assert replayed.stats == live.stats
+
+
+class TestSamplerParity:
+    def test_sampler_series_match_dict_kernel(self, stored_sor, monkeypatch):
+        # Small chunks put several interval samples before the tail one.
+        machine, _, stored = stored_sor
+        monkeypatch.setattr(engine, "REPLAY_CHUNK_LINES", 1024)
+        hierarchy = machine.build_hierarchy()
+        hierarchy.observer = CacheSampler(Telemetry())
+        assert fast_replay_supported(hierarchy, stored)
+
+        def series(vectorized):
+            obs = Telemetry()
+            with monkeypatch.context() as patch:
+                if not vectorized:
+                    patch.setattr(
+                        replay_module, "fast_replay_supported", lambda *_: False
+                    )
+                replayed = Simulator(machine, verify=False, telemetry=obs).replay(stored)
+            assert replayed.replay_path == ("vectorized" if vectorized else "dict")
+            return {
+                name: [
+                    {key: value for key, value in sample.items() if key != "t"}
+                    for sample in obs.metrics.series(name).samples
+                ]
+                for name in ("cache.l1.classes", "cache.l2.classes")
+            }
+
+        fast, dict_kernel = series(True), series(False)
+        assert fast == dict_kernel
+        chunks = len(_chunk_batches(stored.batch_ends))
+        assert chunks > DEFAULT_INTERVAL
+        assert len(fast["cache.l1.classes"]) == chunks // DEFAULT_INTERVAL + 1
 
 
 class TestChunkBatches:
