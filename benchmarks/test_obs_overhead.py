@@ -75,12 +75,13 @@ def test_overhead_budgets():
         "a sidecar-free hierarchy must run the uninstrumented "
         "access_data (disabled telemetry would no longer be free)"
     )
-    probe.observer = CacheSampler(Telemetry(), program="bench_probe")
+    sampler = CacheSampler(Telemetry(), program="bench_probe")
+    probe.attach(sampler)
     assert "access_data" in vars(probe), (
         "attaching the cache sampler must rebind access_data to the "
         "instrumented variant"
     )
-    probe.observer = None
+    probe.detach(sampler)
     assert "access_data" not in vars(probe)
     disabled_overhead = 0.0
 

@@ -141,17 +141,16 @@ def replay_seconds(factory, batches) -> float:
 def hierarchy_replay_seconds(batches, profiler_factory=None) -> float:
     """Replay the captured stream through ``access_data``.
 
-    Without ``profiler_factory`` every sidecar slot stays ``None`` — the
-    shipped default, running the uninstrumented class method; with it a
-    live profiler is attached (the opt-in cost, recorded for
-    information).
+    Without ``profiler_factory`` no sidecar is attached — the shipped
+    default, running the uninstrumented class method; with it a live
+    profiler is attached (the opt-in cost, recorded for information).
     """
     best = float("inf")
     machine = r8000()
     for _ in range(PROFILING_REPEATS):
         hierarchy = machine.build_hierarchy()
         if profiler_factory is not None:
-            hierarchy.profiler = profiler_factory()
+            hierarchy.attach(profiler_factory())
         started = time.perf_counter()
         for lines, counts in batches:
             hierarchy.access_data(lines, counts)
@@ -255,12 +254,13 @@ def test_kernel_and_campaign_throughput():
         "a sidecar-free hierarchy must run the uninstrumented "
         "access_data (profiling off would no longer be free)"
     )
-    probe.profiler = LocalityProfiler("bench_probe", "r8000")
+    profiler = LocalityProfiler("bench_probe", "r8000")
+    probe.attach(profiler)
     assert "access_data" in vars(probe), (
         "attaching a profiler must rebind access_data to the "
         "instrumented variant"
     )
-    probe.profiler = None
+    probe.detach(profiler)
     assert "access_data" not in vars(probe), (
         "detaching the last sidecar must restore the uninstrumented "
         "access_data"

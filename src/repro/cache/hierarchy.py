@@ -51,7 +51,11 @@ class HierarchyStats:
 
 
 class CacheHierarchy:
-    """Split L1 I/D over a unified L2, simulated for data references."""
+    """Split L1 I/D over a unified L2, simulated for data references.
+
+    :meth:`access_data` is the one kernel; observers (verify oracle,
+    telemetry sampler, locality profiler, trace tap) ride along as
+    sidecars via :meth:`attach`."""
 
     def __init__(
         self,
@@ -77,87 +81,42 @@ class CacheHierarchy:
         self._data_writes = 0
         self._l1i_compulsory = 0
         self._l2_code_lines = 0
-        self._oracle = None
-        self._observer = None
-        self._profiler = None
-        self._tap = None
+        #: Attached sidecars, in attach order (see :meth:`attach`).
+        self.sidecars: tuple = ()
 
     # ------------------------------------------------------------------
     # Sidecars
     # ------------------------------------------------------------------
-    # The sidecar slots rebind ``access_data`` per instance: with no
-    # sidecar attached, the *class* method — the uninstrumented kernel
-    # path, no sidecar code at all — handles every batch, so disabled
+    # A sidecar observes the simulation without changing it.  Each has
+    # one hook, ``on_batch(hierarchy, lines, counts, writes, l1_misses,
+    # l2_misses)``, called after every data batch, and one
+    # ``finish(hierarchy)``, called by the simulator once at the end of
+    # the simulation.  With no sidecar attached the *class* method
+    # ``access_data`` handles every batch, so disabled
     # verification/telemetry/profiling is structurally free (the
-    # benchmark asserts this binding rather than trying to time a
-    # zero-cost delta).  Attaching any sidecar installs
-    # ``_access_data_instrumented`` as an instance attribute, which
-    # shadows the class method until the last sidecar detaches.
+    # benchmarks assert this binding rather than timing a zero-cost
+    # delta).  Attaching one installs ``_access_data_instrumented`` as an
+    # instance attribute, which shadows the class method until the last
+    # sidecar detaches.
 
-    def _rebind_access_data(self) -> None:
-        if (
-            self._oracle is not None
-            or self._observer is not None
-            or self._profiler is not None
-            or self._tap is not None
-        ):
-            self.access_data = self._access_data_instrumented
-        else:
-            self.__dict__.pop("access_data", None)
+    def attach(self, sidecar) -> None:
+        """Call ``sidecar.on_batch`` after every data batch from now on.
 
-    @property
-    def oracle(self):
-        """Optional :class:`repro.verify.cache_oracle.CacheOracle`,
-        consulted after every access batch.  ``None`` (the default)
-        keeps the hot path free of verification work."""
-        return self._oracle
+        Sidecars are called in attach order, each with the same
+        arguments."""
+        if any(attached is sidecar for attached in self.sidecars):
+            raise ValueError("sidecar is already attached")
+        self.sidecars += (sidecar,)
+        self.access_data = self._access_data_instrumented
 
-    @oracle.setter
-    def oracle(self, value) -> None:
-        self._oracle = value
-        self._rebind_access_data()
-
-    @property
-    def observer(self):
-        """Optional telemetry observer (``repro.obs.sampler.CacheSampler``)
-        with an ``on_batch(hierarchy)`` method, called after every access
-        batch.  Same contract as ``oracle``: ``None`` means off.  An
-        observer reads statistics only: a vectorized trace replay
-        (``repro.trace.replay``) calls it once per chunk with exact
-        statistics but no per-line L1D state."""
-        return self._observer
-
-    @observer.setter
-    def observer(self, value) -> None:
-        self._observer = value
-        self._rebind_access_data()
-
-    @property
-    def profiler(self):
-        """Optional :class:`repro.obs.profile.LocalityProfiler` charged
-        with per-(fork site, bin, object) miss attribution after every
-        access batch.  Same sidecar contract: ``None`` means off, and the
-        off path runs no profiler code at all — which is how the batched
-        kernel's speedup survives profiling being compiled in."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        self._rebind_access_data()
-
-    @property
-    def tap(self):
-        """Optional trace tap (:class:`repro.trace.store.TraceCapture`)
-        with an ``on_access(lines, counts, writes)`` method, fed every
-        data batch verbatim — the capture point for the content-addressed
-        trace store.  Same sidecar contract: ``None`` means off."""
-        return self._tap
-
-    @tap.setter
-    def tap(self, value) -> None:
-        self._tap = value
-        self._rebind_access_data()
+    def detach(self, sidecar) -> None:
+        """Stop calling ``sidecar``; the last detach restores the plain
+        ``access_data``."""
+        if not any(attached is sidecar for attached in self.sidecars):
+            raise ValueError("sidecar is not attached")
+        self.sidecars = tuple(a for a in self.sidecars if a is not sidecar)
+        if not self.sidecars:
+            del self.access_data
 
     # ------------------------------------------------------------------
     # Reference streams
@@ -167,8 +126,9 @@ class CacheHierarchy:
         lines: list[int],
         counts: list[int] | None = None,
         writes: int = 0,
-    ) -> None:
-        """Simulate a batch of data references.
+    ) -> tuple[list[int], list[int]]:
+        """Simulate a batch of data references; return the batch's L1D
+        misses and the L2 misses they caused.
 
         Parameters
         ----------
@@ -189,71 +149,40 @@ class CacheHierarchy:
         self._data_reads += total - writes
         self._data_writes += writes
         l1_misses = self.l1d.process(lines, counts)
-        if l1_misses:
-            shift = self._l2_shift
-            if shift:
-                l2_lines = [line >> shift for line in l1_misses]
-            else:
-                l2_lines = l1_misses
-            mapper = self.l2_page_mapper
-            if mapper is not None:
-                bits = self.l2.config.line_bits
-                l2_lines = [
-                    mapper.translate_line(line, bits) for line in l2_lines
-                ]
-            self.l2.process(l2_lines)
+        if not l1_misses:
+            return l1_misses, []
+        shift = self._l2_shift
+        if shift:
+            l2_lines = [line >> shift for line in l1_misses]
+        else:
+            l2_lines = l1_misses
+        mapper = self.l2_page_mapper
+        if mapper is not None:
+            bits = self.l2.config.line_bits
+            l2_lines = [mapper.translate_line(line, bits) for line in l2_lines]
+        return l1_misses, self.l2.process(l2_lines)
+
+    #: The kernel itself.  The instrumented variant calls it through this
+    #: name, so a wrapper later installed on ``access_data`` (a profiler
+    #: or tracer patching the class) still sees each batch once.
+    _kernel = access_data
 
     def _access_data_instrumented(
         self,
         lines: list[int],
         counts: list[int] | None = None,
         writes: int = 0,
-    ) -> None:
-        """:meth:`access_data` plus the sidecar hooks.
+    ) -> tuple[list[int], list[int]]:
+        """:meth:`access_data`, then every sidecar's ``on_batch``.
 
         Installed as the instance's ``access_data`` while any sidecar is
-        attached (see :meth:`_rebind_access_data`).  The cache work must
-        stay line-for-line identical to the plain method — a test pins
-        the two variants to the same statistics — so that attaching a
-        sidecar changes *observation*, never *simulation*.
-        """
-        if self._tap is not None:
-            self._tap.on_access(lines, counts, writes)
-        total = sum(counts) if counts is not None else len(lines)
-        if writes > total:
-            raise ValueError(f"writes={writes} exceeds total references {total}")
-        self._data_reads += total - writes
-        self._data_writes += writes
-        l1_misses = self.l1d.process(lines, counts)
-        if l1_misses:
-            shift = self._l2_shift
-            if shift:
-                l2_lines = [line >> shift for line in l1_misses]
-            else:
-                l2_lines = l1_misses
-            mapper = self.l2_page_mapper
-            if mapper is not None:
-                bits = self.l2.config.line_bits
-                l2_lines = [
-                    mapper.translate_line(line, bits) for line in l2_lines
-                ]
-            l2_misses = self.l2.process(l2_lines)
-        if self._oracle is not None:
-            self._oracle.after_batch(self)
-        if self._observer is not None:
-            self._observer.on_batch(self)
-        if self._profiler is not None:
-            # ``l2_misses`` is only bound when L1 missed; the conditional
-            # expression never evaluates it on the all-hits path.
-            self._profiler.on_batch(
-                self,
-                lines,
-                counts,
-                writes,
-                total,
-                l1_misses,
-                l2_misses if l1_misses else [],
-            )
+        attached (see :meth:`attach`).  The cache work is the one kernel,
+        so attaching a sidecar changes *observation*, never
+        *simulation*."""
+        l1_misses, l2_misses = self._kernel(lines, counts, writes)
+        for sidecar in self.sidecars:
+            sidecar.on_batch(self, lines, counts, writes, l1_misses, l2_misses)
+        return l1_misses, l2_misses
 
     def fetch_instructions(self, count: int) -> None:
         """Record ``count`` instruction fetches (counted, not simulated)."""

@@ -9,10 +9,10 @@ into its working set, and the profiler makes that visible per bin.
 Three cooperating pieces:
 
 * :class:`LocalityProfiler` — an opt-in sidecar on
-  :class:`~repro.cache.hierarchy.CacheHierarchy` (same ``None``-means-off
-  contract as the cache oracle and the telemetry observer; with no
-  sidecar attached the hierarchy runs its uninstrumented class method,
-  so the profiling-off hot path runs no profiler code at all).  The
+  :class:`~repro.cache.hierarchy.CacheHierarchy` (``hierarchy.attach``,
+  like the cache oracle, the telemetry sampler and the trace tap; with
+  no sidecar attached the hierarchy runs its uninstrumented class
+  method, so the profiling-off hot path runs no profiler code at all).  The
   thread package tells it which fork site and bin are dispatching;
   every access batch is then charged to the current ``(site, bin)``
   pair, each run-length entry to the allocation that owns its address,
@@ -93,7 +93,8 @@ class LocalityProfiler:
     """Charges every simulated reference to (fork site, bin, object).
 
     One instance profiles one ``Simulator.run``.  The cache hierarchy
-    calls :meth:`on_batch` after every access batch; thread packages
+    calls :meth:`on_batch` after every access batch and the simulator
+    calls :meth:`finish` at the end of the run; thread packages
     bracket bin sweeps and thread dispatches with
     :meth:`enter_bin`/:meth:`exit_bin` and
     :meth:`enter_site`/:meth:`exit_site`.  Everything outside a dispatch
@@ -174,11 +175,11 @@ class LocalityProfiler:
         lines: list[int],
         counts: list[int] | None,
         writes: int,
-        total: int,
         l1_misses: list[int],
         l2_misses: list[int],
     ) -> None:
         """Charge one processed access batch to the current context."""
+        total = len(lines) if counts is None else sum(counts)
         key = (self._site, self._bin)
         context = self._contexts.get(key)
         if context is None:

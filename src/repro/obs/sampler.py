@@ -3,7 +3,7 @@
 The final ``SimResult`` only reports end-of-run totals; the paper's
 analysis, by contrast, reasons about *when* misses happen (cold start vs
 steady state, per-bin reuse).  A :class:`CacheSampler` attached to a
-:class:`~repro.cache.hierarchy.CacheHierarchy` (``hierarchy.observer``)
+:class:`~repro.cache.hierarchy.CacheHierarchy` (``hierarchy.attach``)
 snapshots the per-class miss deltas every ``interval`` access batches:
 
 * into the metrics registry as the ``cache.l1.classes`` /
@@ -11,11 +11,12 @@ snapshots the per-class miss deltas every ``interval`` access batches:
 * onto the event bus as ``C`` counter samples, which Perfetto renders as
   counter tracks alongside the bin-sweep spans.
 
-With no sampler attached the hierarchy runs its uninstrumented
-``access_data`` (attaching one rebinds the instance to the instrumented
-variant — see :class:`~repro.cache.hierarchy.CacheHierarchy`), so the
-un-observed hot path pays nothing; an attached sampler costs one modulo
-per batch.
+With no sidecar attached the hierarchy runs its uninstrumented
+``access_data`` (see :class:`~repro.cache.hierarchy.CacheHierarchy`), so
+the un-observed hot path pays nothing; an attached sampler costs one
+modulo per batch.  It reads hierarchy statistics only, never the batch
+itself (``stats_only``), so a vectorized trace replay keeps it and
+calls it once per chunk.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ class CacheSampler:
 
     __slots__ = ("obs", "interval", "program", "_batches", "_prev")
 
+    #: Reads only cumulative hierarchy statistics, never the batch
+    #: arguments or per-line cache state (see
+    #: :func:`repro.trace.replay.fast_replay_supported`).
+    stats_only = True
+
     def __init__(
         self,
         obs: Telemetry,
@@ -46,11 +52,15 @@ class CacheSampler:
         self._batches = 0
         self._prev: dict[str, dict[str, int]] = {}
 
-    def on_batch(self, hierarchy) -> None:
+    def on_batch(self, hierarchy, lines, counts, writes, l1_misses, l2_misses) -> None:
         """Called by the hierarchy after every data access batch."""
         self._batches += 1
         if self._batches % self.interval:
             return
+        self.sample(hierarchy)
+
+    def finish(self, hierarchy) -> None:
+        """Flush the tail interval at the end of the run."""
         self.sample(hierarchy)
 
     def sample(self, hierarchy) -> None:

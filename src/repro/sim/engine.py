@@ -25,6 +25,9 @@ TracedProgram = Callable[[SimContext], Any]
 #: many run-length entries accumulate, then fed as one kernel batch.
 REPLAY_CHUNK_LINES = 1 << 16
 
+#: :class:`SimResult` fields a replay takes from the stored header.
+_STORED_RESULT_FIELDS = ("app_instructions", "thread_instructions", "forks", "dispatches")
+
 
 def _chunk_batches(ends) -> list[int]:
     """Batch-index cut points whose chunks hold >= REPLAY_CHUNK_LINES
@@ -50,8 +53,9 @@ def _chunk_batches(ends) -> list[int]:
 class Simulator:
     """Runs traced programs on one machine model.
 
-    Each :meth:`run` gets a fresh cache hierarchy, recorder, and address
-    space, so results are independent and deterministic.
+    Each :meth:`run` (fed by the program) and :meth:`replay` (fed by a
+    stored trace) gets a fresh cache hierarchy, so results are
+    independent and deterministic.
 
     ``verify`` arms the runtime-verification oracles (see
     ``repro.verify``): a :class:`~repro.verify.cache_oracle.CacheOracle`
@@ -111,25 +115,20 @@ class Simulator:
             raise ValueError(
                 "trace capture does not support an L2 page mapper"
             )
-        verify_run = resolve_verify(verify, self.verify)
-        obs = resolve_telemetry(telemetry, self.telemetry)
-        fault_point("sim.run", machine=self.machine.name, program=program_name)
-        bus = obs.bus
-        base_depth = bus.depth()
-        if obs.enabled:
-            bus.begin(
-                "sim.run", machine=self.machine.name, program=program_name
-            )
-            bus.begin("sim.setup")
-        try:
-            hierarchy = self.machine.build_hierarchy(l2_page_mapper)
-            if capture is not None:
-                hierarchy.tap = capture
+        # Stagger allocations by a few L2 lines so equal-sized arrays do
+        # not alias the same sets exactly (a scaled-cache artifact; real
+        # allocators and page placement provide the same spreading).
+        space = AddressSpace(stagger=3 * self.machine.l2.line_size)
+
+        def feed(hierarchy, verify_run, obs) -> dict[str, Any]:
+            profiler = None
+            collector = current_collector()
+            if collector is not None:
+                from repro.obs.profile import LocalityProfiler
+
+                profiler = LocalityProfiler(program_name, self.machine.name, space, obs)
+                hierarchy.attach(profiler)
             recorder = TraceRecorder(hierarchy)
-            # Stagger allocations by a few L2 lines so equal-sized arrays do
-            # not alias the same sets exactly (a scaled-cache artifact; real
-            # allocators and page placement provide the same spreading).
-            space = AddressSpace(stagger=3 * self.machine.l2.line_size)
             context = SimContext(
                 machine=self.machine,
                 hierarchy=hierarchy,
@@ -137,38 +136,10 @@ class Simulator:
                 space=space,
                 verify=verify_run,
                 obs=obs,
+                profiler=profiler,
             )
-            if verify_run:
-                from repro.verify.cache_oracle import CacheOracle
-
-                hierarchy.oracle = CacheOracle(
-                    machine=self.machine.name, program=program_name
-                )
-                hierarchy.oracle.obs = obs
-            sampler = None
             if obs.enabled:
-                from repro.obs.sampler import CacheSampler
-
-                sampler = CacheSampler(obs, program=program_name)
-                hierarchy.observer = sampler
-            profiler = None
-            collector = current_collector()
-            if collector is not None:
-                from repro.obs.profile import LocalityProfiler
-
-                profiler = LocalityProfiler(
-                    program=program_name,
-                    machine=self.machine.name,
-                    space=space,
-                    obs=obs,
-                )
-                hierarchy.profiler = profiler
-                context.profiler = profiler
-            if code_footprint:
-                hierarchy.charge_code_footprint(code_footprint)
-            if obs.enabled:
-                bus.end()  # sim.setup
-                bus.begin("sim.program")
+                obs.bus.begin("sim.program")
             try:
                 payload = program(context)
             except ReproError:
@@ -183,63 +154,37 @@ class Simulator:
                 ) from exc
             finally:
                 if obs.enabled:
-                    bus.end()  # sim.program
-            if verify_run and hierarchy.oracle is not None:
-                with bus.span("verify.final_check"):
-                    hierarchy.oracle.final_check(hierarchy)
+                    obs.bus.end()  # sim.program
             thread_faults: list = []
             for package in context.packages:
                 report = getattr(package, "fault_report", None)
                 if report is not None:
                     thread_faults.extend(report())
-            if sampler is not None:
-                sampler.sample(hierarchy)  # flush the tail interval
-            if profiler is not None:
-                profiler.finish(hierarchy)  # flush the tail timeline sample
-                collector.add(profiler)
-            stats = hierarchy.snapshot()
-            time = self.timing.estimate(
-                TimingInputs(
-                    instructions=recorder.app_instructions,
-                    l1_misses=stats.l1.misses,
-                    l2_misses=stats.l2.misses,
-                    forks=context.total_forks,
-                    thread_runs=context.total_dispatches,
-                )
+            # The paper quotes per-run distributions ("64000 threads ... in
+            # 46 bins" for a typical iteration); report the chronologically
+            # last th_run's stats.  Runs are stamped with a process-wide
+            # dispatch sequence, so a program that creates package B but
+            # runs package A last reports A's distribution, not B's.
+            sched = max(
+                (stats for package in context.packages for stats in package.run_history),
+                key=lambda stats: stats.seq,
+                default=None,
             )
-        finally:
-            # Close sim.run (and sim.setup, if the program raised inside
-            # it) without touching any enclosing scope's spans.
-            bus.unwind(base_depth)
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter("sim.runs").inc()
-            metrics.counter("sim.forks").inc(context.total_forks)
-            metrics.counter("sim.dispatches").inc(context.total_dispatches)
-            metrics.histogram("sim.modeled_seconds").observe(time.total)
-        # The paper quotes per-run distributions ("64000 threads ... in 46
-        # bins" for a typical iteration); report the chronologically last
-        # th_run's stats.  Runs are stamped with a process-wide dispatch
-        # sequence, so a program that creates package B but runs package A
-        # last reports A's distribution, not B's.
-        sched = max(
-            (stats for package in context.packages for stats in package.run_history),
-            key=lambda stats: stats.seq,
-            default=None,
-        )
-        return SimResult(
-            program=program_name,
-            machine=self.machine.name,
-            stats=stats,
-            app_instructions=recorder.app_instructions,
-            thread_instructions=recorder.thread_instructions,
-            forks=context.total_forks,
-            dispatches=context.total_dispatches,
-            sched=sched,
-            time=time,
-            payload=payload,
-            thread_faults=thread_faults,
-            verified=verify_run,
+            if profiler is not None:
+                collector.add(profiler)
+            return dict(
+                app_instructions=recorder.app_instructions,
+                thread_instructions=recorder.thread_instructions,
+                forks=context.total_forks,
+                dispatches=context.total_dispatches,
+                sched=sched,
+                payload=payload,
+                thread_faults=thread_faults,
+            )
+
+        return self._simulate(
+            program_name, feed, verify, telemetry, code_footprint,
+            live=True, l2_page_mapper=l2_page_mapper, capture=capture,
         )
 
     def replay(
@@ -260,51 +205,26 @@ class Simulator:
         distribution come from the header, which is everything the
         timing model and :class:`SimResult` need.  ``payload`` is
         ``None``: replay reproduces *statistics*, not the program's
-        numeric output.  Each chunk of the stream is one batch step:
-        the vectorized direct-mapped L1D step of
+        numeric output.  The stored machine name and cache geometry must
+        match this machine's.  Each chunk of the stream is one batch
+        step: the vectorized direct-mapped L1D step of
         :func:`repro.trace.replay.replay_stream` where
         :func:`~repro.trace.replay.fast_replay_supported` allows it,
         ``access_data`` (the dict kernel) otherwise; the result's
         ``replay_path`` names which.
         """
-        program_name = stored.program
-        if stored.machine != self.machine.name:
-            raise ValueError(
-                f"stored trace is for machine {stored.machine!r}, "
-                f"not {self.machine.name!r}"
-            )
-        if stored.header["line_bits"] != self.machine.l1d.line_bits:
-            raise ValueError(
-                "stored trace L1D line size does not match this machine"
-            )
-        verify_run = resolve_verify(verify, self.verify)
-        obs = resolve_telemetry(telemetry, self.telemetry)
-        fault_point("sim.run", machine=self.machine.name, program=program_name)
-        bus = obs.bus
-        base_depth = bus.depth()
-        if obs.enabled:
-            bus.begin(
-                "sim.replay", machine=self.machine.name, program=program_name
-            )
-        try:
-            hierarchy = self.machine.build_hierarchy()
-            if verify_run:
-                from repro.verify.cache_oracle import CacheOracle
+        from repro.trace.store import cache_geometry
 
-                hierarchy.oracle = CacheOracle(
-                    machine=self.machine.name, program=program_name
+        header = stored.header
+        expected = {"machine": self.machine.name, **cache_geometry(self.machine)}
+        for field, value in expected.items():
+            if header.get(field) != value:
+                raise ValueError(
+                    f"stored trace has {field}={header.get(field)!r}, "
+                    f"this machine has {value!r}"
                 )
-                hierarchy.oracle.obs = obs
-            sampler = None
-            if obs.enabled:
-                from repro.obs.sampler import CacheSampler
 
-                sampler = CacheSampler(obs, program=program_name)
-                hierarchy.observer = sampler
-            if stored.header["code_footprint"]:
-                hierarchy.charge_code_footprint(
-                    stored.header["code_footprint"]
-                )
+        def feed(hierarchy, verify_run, obs) -> dict[str, Any]:
             from repro.trace.replay import fast_replay_supported, replay_stream
 
             lines, counts = stored.lines, stored.counts
@@ -330,41 +250,100 @@ class Simulator:
                 step(start, end, int(writes[prev:cut].sum(dtype=np.int64)))
                 start, prev = end, cut
             hierarchy.fetch_instructions(
-                stored.header["app_instructions"]
-                + stored.header["thread_instructions"]
+                header["app_instructions"] + header["thread_instructions"]
             )
-            if verify_run and hierarchy.oracle is not None:
-                with bus.span("verify.final_check"):
-                    hierarchy.oracle.final_check(hierarchy)
-            if sampler is not None:
-                sampler.sample(hierarchy)
+            return dict(
+                {name: header[name] for name in _STORED_RESULT_FIELDS},
+                sched=stored.sched_stats(),
+                replay_path=replay_path,
+            )
+
+        return self._simulate(
+            stored.program, feed, verify, telemetry, header["code_footprint"], live=False
+        )
+
+    def _simulate(
+        self,
+        program_name: str,
+        feed: Callable[..., dict[str, Any]],
+        verify: bool | None,
+        telemetry: Telemetry | None,
+        code_footprint: int,
+        *,
+        live: bool,
+        l2_page_mapper=None,
+        capture=None,
+    ) -> SimResult:
+        """The one simulation path under :meth:`run` (``live``) and
+        :meth:`replay`.
+
+        Resolves verification and telemetry, builds a fresh hierarchy with
+        its sidecars (the ``capture`` tap, then the cache oracle and the
+        telemetry sampler when those are on), charges the code footprint,
+        and lets ``feed(hierarchy, verify, obs)`` stream the data side
+        into it; ``feed`` returns the :class:`SimResult` fields the
+        hierarchy cannot supply.  Every sidecar then finishes, once, and
+        the statistics become the result.  A live run's telemetry also
+        has a ``sim.setup`` span and fork/dispatch counters.
+        """
+        machine = self.machine.name
+        verify_run = resolve_verify(verify, self.verify)
+        obs = resolve_telemetry(telemetry, self.telemetry)
+        fault_point("sim.run", machine=machine, program=program_name)
+        bus = obs.bus
+        base_depth = bus.depth()
+        phases = obs.enabled and live
+        if obs.enabled:
+            bus.begin("sim.run" if live else "sim.replay", machine=machine, program=program_name)
+        if phases:
+            bus.begin("sim.setup")
+        try:
+            hierarchy = self.machine.build_hierarchy(l2_page_mapper)
+            if capture is not None:
+                hierarchy.attach(capture)
+            if verify_run:
+                from repro.verify.cache_oracle import CacheOracle
+
+                oracle = CacheOracle(machine=machine, program=program_name)
+                oracle.obs = obs
+                hierarchy.attach(oracle)
+            if obs.enabled:
+                from repro.obs.sampler import CacheSampler
+
+                hierarchy.attach(CacheSampler(obs, program=program_name))
+            if code_footprint:
+                hierarchy.charge_code_footprint(code_footprint)
+            if phases:
+                bus.end()  # sim.setup
+            fields = feed(hierarchy, verify_run, obs)
+            for sidecar in hierarchy.sidecars:
+                sidecar.finish(hierarchy)
             stats = hierarchy.snapshot()
             time = self.timing.estimate(
                 TimingInputs(
-                    instructions=stored.header["app_instructions"],
+                    instructions=fields["app_instructions"],
                     l1_misses=stats.l1.misses,
                     l2_misses=stats.l2.misses,
-                    forks=stored.header["forks"],
-                    thread_runs=stored.header["dispatches"],
+                    forks=fields["forks"],
+                    thread_runs=fields["dispatches"],
                 )
             )
         finally:
+            # Close the run's spans (and sim.setup, if setup raised)
+            # without touching any enclosing scope's spans.
             bus.unwind(base_depth)
         if obs.enabled:
-            obs.metrics.counter("sim.replays").inc()
-            obs.metrics.histogram("sim.modeled_seconds").observe(time.total)
+            metrics = obs.metrics
+            metrics.counter("sim.runs" if live else "sim.replays").inc()
+            if live:
+                metrics.counter("sim.forks").inc(fields["forks"])
+                metrics.counter("sim.dispatches").inc(fields["dispatches"])
+            metrics.histogram("sim.modeled_seconds").observe(time.total)
         return SimResult(
             program=program_name,
-            machine=self.machine.name,
+            machine=machine,
             stats=stats,
-            app_instructions=stored.header["app_instructions"],
-            thread_instructions=stored.header["thread_instructions"],
-            forks=stored.header["forks"],
-            dispatches=stored.header["dispatches"],
-            sched=stored.sched_stats(),
             time=time,
-            payload=None,
-            thread_faults=[],
             verified=verify_run,
-            replay_path=replay_path,
+            **fields,
         )

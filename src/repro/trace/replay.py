@@ -24,17 +24,17 @@ sequential can be lifted out of the L1 loop:
   takes its slice.
 
 L1 misses flow through the ordinary L2 kernel (any associativity: that
-stream is one to two orders of magnitude smaller), and an attached
-observer — the telemetry ``CacheSampler`` — gets one ``on_batch`` per
-chunk with exact cumulative statistics: the same calls, at the same
-boundaries, as on the dict path.  Memory is bounded by the chunk, not
-the stream.  The result is byte-identical to the dict kernel (the
-round-trip tests pin all four paper apps).
+stream is one to two orders of magnitude smaller), and each attached
+sidecar gets one ``on_batch`` per chunk with exact cumulative
+statistics: the same calls, at the same boundaries, as on the dict
+path.  Memory is bounded by the chunk, not the stream.  The result is
+byte-identical to the dict kernel (the round-trip tests pin all four
+paper apps).
 
 Only direct-mapped L1Ds take this step (both paper machines' R8000; the
-R10000's 2-way L1 keeps the dict kernel), and only with no oracle,
-profiler or tap: those sidecars read the per-batch dict state or the
-batch itself.
+R10000's 2-way L1 keeps the dict kernel), and only when every attached
+sidecar is ``stats_only`` (the telemetry ``CacheSampler``): the oracle,
+profiler and tap read the per-batch dict state or the batch itself.
 """
 
 from __future__ import annotations
@@ -47,15 +47,15 @@ from repro.trace.store import StoredTrace
 
 
 def fast_replay_supported(hierarchy, stored: StoredTrace) -> bool:
-    """Whether :func:`replay_stream`'s step replays ``stored`` exactly."""
+    """Whether :func:`replay_stream`'s step replays ``stored`` exactly.
+
+    The stored geometry has already been checked against the machine
+    (:meth:`repro.sim.engine.Simulator.replay`)."""
     return (
         hierarchy.l1d.config.associativity == 1
         and hierarchy.l2_page_mapper is None
-        and hierarchy.oracle is None
-        and hierarchy.profiler is None
-        and hierarchy.tap is None
+        and all(getattr(sidecar, "stats_only", False) for sidecar in hierarchy.sidecars)
         and len(stored.shadow_hits) > 0
-        and stored.header.get("l1d_lines") == hierarchy.l1d.config.num_lines
     )
 
 
@@ -66,14 +66,16 @@ def replay_stream(hierarchy, stored: StoredTrace) -> Callable[[int, int, int], N
     (``writes`` of their references are stores) with the effect of one
     ``access_data`` batch on everything the statistics read: the
     read/write counters, the L1D statistics and compulsory-miss history
-    (``_seen``), the L2 and the observer.  Chunks must arrive in stream
-    order.  The L1D's dict state (real sets, shadow) stays empty —
-    neither :meth:`~repro.cache.hierarchy.CacheHierarchy.snapshot` nor
-    the sampler reads it, and :func:`fast_replay_supported` keeps every
-    sidecar that does on the dict path.
+    (``_seen``), the L2 and the sidecars' ``on_batch``.  Chunks must
+    arrive in stream order.  The L1D's dict state (real sets, shadow)
+    stays empty — neither
+    :meth:`~repro.cache.hierarchy.CacheHierarchy.snapshot` nor a
+    ``stats_only`` sidecar reads it, and :func:`fast_replay_supported`
+    keeps every other sidecar on the dict path.  The batch arguments the
+    sidecars get are the chunk's numpy slices and miss arrays.
     """
     l1, l2 = hierarchy.l1d, hierarchy.l2
-    observer = hierarchy.observer
+    sidecars = hierarchy.sidecars
     shift = hierarchy._l2_shift
     set_mask = np.int64(l1.real._set_mask)
     set_dtype = np.min_scalar_type(l1.config.num_sets - 1)
@@ -99,6 +101,7 @@ def replay_stream(hierarchy, stored: StoredTrace) -> Callable[[int, int, int], N
             np.not_equal(chunk[1:], chunk[:-1], out=keep[1:])
             previous = int(chunk[-1])
         deduped = chunk[keep]
+        misses, l2_misses = deduped[:0], []
         n = len(deduped)
         shadow_hit = shadow_hits[offset : offset + n]
         offset += n
@@ -137,8 +140,8 @@ def replay_stream(hierarchy, stored: StoredTrace) -> Callable[[int, int, int], N
             stats.capacity += len(misses) - len(fresh) - n_conflict
             l1._seen.update(fresh.tolist())
             if len(misses):
-                l2.process((misses >> shift).tolist())
-        if observer is not None:
-            observer.on_batch(hierarchy)
+                l2_misses = l2.process((misses >> shift).tolist())
+        for sidecar in sidecars:
+            sidecar.on_batch(hierarchy, chunk, counts[start:end], writes, misses, l2_misses)
 
     return step

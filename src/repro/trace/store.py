@@ -23,7 +23,9 @@ This module makes the stream a first-class, cachable artifact:
 The content-address key is ``(app, version, config-digest, code-hash)``:
 any change to the experiment configuration, the machine geometry, the
 traced program's source, or the trace-generation core invalidates the
-key (the lookup simply misses and the trace is regenerated).  Replay
+key (the lookup simply misses and the trace is regenerated); the code
+hash covers the source of every module the program and the simulator
+import, transitively (:func:`import_closure`).  Replay
 correctness rests on the stream being a *complete* record of the data
 side and instruction fetches being order-independent *totals* — see
 :meth:`repro.sim.engine.Simulator.replay`.
@@ -31,11 +33,13 @@ side and instruction fetches being order-independent *totals* — see
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import json
 import logging
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
@@ -110,29 +114,22 @@ def shadow_hit_bits(dlines: np.ndarray, capacity: int) -> np.ndarray:
             shadow[line] = None
     return hits
 
-#: Modules whose source participates in every code hash: the trace
-#: recorder/conversion core, the thread package and scheduler (they
-#: interleave the per-thread streams), and the allocator/layout code
-#: that decides addresses.  Editing any of these invalidates every
-#: stored trace; editing a single app's module invalidates only its own.
-CORE_MODULES = (
-    "repro.trace.recorder",
-    "repro.trace.blocks",
-    "repro.trace.costmodel",
-    "repro.core.package",
-    "repro.core.blocking",
-    "repro.core.deps",
-    "repro.core.scheduler",
-    "repro.core.bins",
-    "repro.core.hints",
-    "repro.core.policies",
-    "repro.core.thread",
-    "repro.mem.allocator",
-    "repro.mem.arrays",
-    "repro.mem.layout",
+
+#: The simulator module: besides the program's own module, the root of
+#: every code hash's import closure (it fixes the allocation stagger and
+#: drives the program).
+SIMULATOR_MODULE = "repro.sim.engine"
+
+#: ``import repro.x`` and ``from repro.x import a, b`` at any indentation
+#: (lazy imports inside functions shape the stream too), parenthesised
+#: name lists included.
+_IMPORT = re.compile(
+    r"^[ \t]*(?:import[ \t]+(repro[\w.]*)"
+    r"|from[ \t]+(repro[\w.]*)[ \t]+import[ \t]+(\([^)]*\)|.*))",
+    re.MULTILINE,
 )
 
-_module_source_digests: dict[str, str] = {}
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _canonical_json(payload: Any) -> str:
@@ -150,24 +147,72 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-def _module_digest(module_name: str) -> str:
-    cached = _module_source_digests.get(module_name)
-    if cached is not None:
-        return cached
+@functools.lru_cache(maxsize=None)
+def _package_files() -> dict[str, Path]:
+    """Every ``repro.*`` module name and its source file."""
+    files = {}
+    for path in _PACKAGE_ROOT.rglob("*.py"):
+        parts = path.relative_to(_PACKAGE_ROOT.parent).with_suffix("").parts
+        files[".".join(parts).removesuffix(".__init__")] = path
+    return files
+
+
+def _module_file(module_name: str) -> Path | None:
+    """The source file of ``module_name``: looked up in the package tree
+    for ``repro.*`` names (nothing is imported), taken from the loaded
+    module for a program defined elsewhere."""
+    if module_name.partition(".")[0] == "repro":
+        return _package_files().get(module_name)
     try:
-        module = importlib.import_module(module_name)
-        source = Path(module.__file__).read_bytes()
-        digest = hashlib.sha256(source).hexdigest()
-    except (ImportError, OSError, TypeError, AttributeError):
-        digest = "unhashable"
-    _module_source_digests[module_name] = digest
-    return digest
+        return Path(importlib.import_module(module_name).__file__)
+    except (ImportError, TypeError, AttributeError):
+        return None
+
+
+def _imported_modules(source: str) -> tuple[str, ...]:
+    """The ``repro.*`` modules ``source`` imports, found by a line scan;
+    ``from P import name`` also names module ``P.name`` when that is one."""
+    found = set()
+    for module, package, names in _IMPORT.findall(source):
+        found.add(module or package)
+        for name in re.sub(r"#.*", "", names).strip("()").split(","):
+            if name.split():
+                found.add(f"{package}.{name.split()[0]}")
+    return tuple(sorted(name for name in found if _module_file(name) is not None))
+
+
+@functools.lru_cache(maxsize=None)
+def _module_source(module_name: str) -> tuple[str, tuple[str, ...]]:
+    """``module_name``'s source sha256 and the modules it imports, read
+    once per process."""
+    path = _module_file(module_name)
+    if path is None:
+        return "unhashable", ()
+    source = path.read_bytes()
+    return hashlib.sha256(source).hexdigest(), _imported_modules(source.decode())
+
+
+def import_closure(program_module: str) -> tuple[str, ...]:
+    """Every module whose source can shape ``program_module``'s reference
+    stream: the transitive ``repro.*`` imports of the program module and
+    of the simulator, with the packages that importing them runs."""
+    closure: set[str] = set()
+    pending = [program_module, SIMULATOR_MODULE]
+    while pending:
+        name = pending.pop()
+        if name in closure:
+            continue
+        closure.add(name)
+        if name.startswith("repro."):
+            pending.append(name.rpartition(".")[0])
+        pending.extend(_module_source(name)[1])
+    return tuple(sorted(closure))
 
 
 def code_hash(program_module: str) -> str:
-    """Digest of the traced program's source plus the trace core."""
-    parts = {name: _module_digest(name) for name in CORE_MODULES}
-    parts[program_module] = _module_digest(program_module)
+    """Digest of the source of every module in the program's
+    :func:`import_closure`."""
+    parts = {name: _module_source(name)[0] for name in import_closure(program_module)}
     return hashlib.sha256(_canonical_json(parts).encode()).hexdigest()
 
 
@@ -193,7 +238,7 @@ def trace_key_for(program, config, machine, code_footprint: int) -> TraceKey:
     ``app`` comes from the program's defining module (``repro.apps.X.…``
     → ``X``), ``version`` from its ``__name__``; the config digest folds
     the experiment config, the full machine spec, and the code footprint;
-    the code hash folds the program module's source with the trace core.
+    the code hash folds the source of the program's import closure.
     """
     module = getattr(program, "__module__", "unknown")
     parts = module.split(".")
@@ -222,11 +267,11 @@ def trace_key_for(program, config, machine, code_footprint: int) -> TraceKey:
 class TraceCapture:
     """Hierarchy tap that records every data batch verbatim.
 
-    Attach as ``hierarchy.tap`` (see
-    :attr:`repro.cache.hierarchy.CacheHierarchy.tap`); each
-    ``access_data`` call appends one batch — lines, counts and write
-    totals exactly as fed — so replaying the capture reproduces the
-    cache simulation bit for bit, batch boundaries included.
+    A sidecar (``hierarchy.attach``, see
+    :class:`repro.cache.hierarchy.CacheHierarchy`): each ``access_data``
+    call appends one batch — lines, counts and write totals exactly as
+    fed — so replaying the capture reproduces the cache simulation bit
+    for bit, batch boundaries included.
     """
 
     def __init__(self) -> None:
@@ -236,7 +281,14 @@ class TraceCapture:
         self._writes: list[int] = []
         self._length = 0
 
+    def on_batch(self, hierarchy, lines, counts, writes, l1_misses, l2_misses) -> None:
+        self.on_access(lines, counts, writes)
+
+    def finish(self, hierarchy) -> None:
+        pass
+
     def on_access(self, lines, counts, writes: int) -> None:
+        """Record one batch."""
         arr = np.asarray(lines, dtype=np.int64)
         if counts is None:
             cnt = np.ones(len(arr), dtype=np.uint32)
@@ -277,17 +329,31 @@ def _align(offset: int, boundary: int = 16) -> int:
     return (offset + boundary - 1) // boundary * boundary
 
 
+def cache_geometry(machine) -> dict[str, int]:
+    """The machine's L1D and L2 geometry as stored in a trace header."""
+    l1d, l2 = machine.l1d, machine.l2
+    return {
+        "line_bits": l1d.line_bits,
+        "l1d_lines": l1d.num_lines,
+        "l1d_assoc": l1d.associativity,
+        "l2_line_bits": l2.line_bits,
+        "l2_lines": l2.num_lines,
+        "l2_assoc": l2.associativity,
+    }
+
+
 def build_header(
     key: TraceKey, result, code_footprint: int, machine
 ) -> dict[str, Any]:
     """The JSON header stored alongside the stream (array geometry is
     filled in by :func:`write_trace`).
 
-    The L1D/L2 geometry fields guard replay: machine *names* do not
-    distinguish scaled-cache variants (``r8000()`` vs ``r8000(64)``),
-    so replay validates the stored geometry against the target machine
-    before trusting the stream (the content key already separates them;
-    this catches hand-loaded mismatches)."""
+    The L1D/L2 geometry fields (:func:`cache_geometry`) guard replay:
+    machine *names* do not distinguish every scaled variant
+    (``r8000(64, 64)`` and ``r8000(64)`` are both ``R8000/64``), so
+    replay checks each stored field against the target machine before
+    trusting the stream (the content key already separates them; this
+    catches hand-loaded mismatches)."""
     sched = None
     if result.sched is not None:
         sched = {
@@ -303,12 +369,7 @@ def build_header(
         "digest": key.digest,
         "program": result.program,
         "machine": result.machine,
-        "line_bits": machine.l1d.line_bits,
-        "l1d_lines": machine.l1d.num_lines,
-        "l1d_assoc": machine.l1d.associativity,
-        "l2_line_bits": machine.l2.line_bits,
-        "l2_lines": machine.l2.num_lines,
-        "l2_assoc": machine.l2.associativity,
+        **cache_geometry(machine),
         "code_footprint": code_footprint,
         "app_instructions": result.app_instructions,
         "thread_instructions": result.thread_instructions,

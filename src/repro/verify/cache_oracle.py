@@ -41,7 +41,10 @@ from repro.resilience.faults import fault_point
 
 
 class CacheOracle:
-    """Re-checks cache-counter invariants after every access batch."""
+    """Re-checks cache-counter invariants after every access batch.
+
+    A hierarchy sidecar (``hierarchy.attach``): :meth:`on_batch` runs
+    after every batch, :meth:`finish` once at the end of the run."""
 
     #: Observability handle; the simulator overwrites this with the run's
     #: telemetry so violations land in the event log as well as raising.
@@ -157,7 +160,7 @@ class CacheOracle:
             self._fail("shadow LRU structure", f"{name} shadow: {violation}", name)
 
     # ------------------------------------------------------------------
-    def after_batch(self, hierarchy) -> None:
+    def on_batch(self, hierarchy, lines, counts, writes, l1_misses, l2_misses) -> None:
         """Called by the hierarchy after every simulated access batch."""
         self._fault_point()
         self.batches_checked += 1
@@ -177,6 +180,12 @@ class CacheOracle:
         self.check_level("L2", hierarchy.l2)
         self.check_structure("L1D", hierarchy.l1d)
         self.check_structure("L2", hierarchy.l2)
+
+    def finish(self, hierarchy) -> None:
+        """The end-of-run sidecar hook: :meth:`final_check` inside a
+        ``verify.final_check`` span."""
+        with self.obs.bus.span("verify.final_check"):
+            self.final_check(hierarchy)
 
     def _fault_point(self) -> None:
         """The ``verify.oracle`` injection site.

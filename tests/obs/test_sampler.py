@@ -71,7 +71,7 @@ class TestMidRunAttach:
         self.run_batches(hierarchy, 0, 100)  # unobserved history
         obs = Telemetry()
         sampler = CacheSampler(obs, interval=4)
-        hierarchy.observer = sampler  # attached mid-run
+        hierarchy.attach(sampler)  # attached mid-run
         self.run_batches(hierarchy, 100, 4)
         series = obs.metrics.series_["cache.l1.classes"]
         assert len(series.samples) == 1
@@ -88,7 +88,7 @@ class TestMidRunAttach:
         hierarchy = r8000().build_hierarchy()
         obs = Telemetry()
         sampler = CacheSampler(obs, interval=2)
-        hierarchy.observer = sampler
+        hierarchy.attach(sampler)
         self.run_batches(hierarchy, 0, 2)
         assert len(obs.metrics.series_["cache.l1.classes"]) == 1
         # Two explicit tail samples with no traffic in between: the
@@ -100,7 +100,7 @@ class TestMidRunAttach:
     def test_l2_series_only_appears_once_l2_sees_traffic(self):
         hierarchy = r8000().build_hierarchy()
         obs = Telemetry()
-        hierarchy.observer = CacheSampler(obs, interval=1)
+        hierarchy.attach(CacheSampler(obs, interval=1))
         hierarchy.access_data([1], writes=0)  # L1 miss -> L2 access
         hierarchy.access_data([1], writes=0)  # L1 hit: no L2 delta
         l2 = obs.metrics.series_["cache.l2.classes"]

@@ -96,7 +96,7 @@ class TestDisabledRun:
         simulator = Simulator(machine)
         simulator.run(matmul_like)
         hierarchy = machine.build_hierarchy()
-        assert hierarchy.observer is None
+        assert hierarchy.sidecars == ()
 
 
 class TestResolution:

@@ -1,14 +1,18 @@
-"""Simulator.replay: guards, chunking, sidecars, and the sampler."""
+"""Simulator.replay: guards, chunking, sidecars, the sampler, and
+parity with Simulator.run."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.apps.matmul import MatmulConfig, VERSIONS as MATMUL
 from repro.apps.sor import SorConfig, VERSIONS as SOR
+from repro.exp.base import r8000_scaled
 from repro.machine.presets import r8000
 from repro.machine.spec import MachineSpec
 from repro.mem.paging import PageMapper
+from repro.obs.profile import LocalityProfiler, ProfileCollector, collector_scope
 from repro.obs.sampler import DEFAULT_INTERVAL, CacheSampler
 from repro.obs.telemetry import Telemetry
 from repro.sim import engine
@@ -16,6 +20,7 @@ from repro.sim.engine import REPLAY_CHUNK_LINES, Simulator, _chunk_batches
 from repro.trace import replay as replay_module
 from repro.trace.replay import fast_replay_supported
 from repro.trace.store import TraceCapture, TraceStore, trace_key_for
+from repro.verify.cache_oracle import CacheOracle
 
 
 @pytest.fixture()
@@ -52,7 +57,31 @@ class TestReplayGuards:
     def test_wrong_line_bits_rejected(self, stored_sor):
         machine, _, stored = stored_sor
         stored.header["line_bits"] += 1
-        with pytest.raises(ValueError, match="line size"):
+        with pytest.raises(ValueError, match="line_bits"):
+            Simulator(machine, verify=False).replay(stored)
+
+    def test_same_name_other_l1_geometry_rejected(self, tmp_path):
+        # r8000(64, 64) and r8000(64) are both named "R8000/64"; only
+        # their L1Ds differ (8 against 64 lines).
+        captured_on, replayed_on = r8000(64, 64), r8000(64)
+        assert captured_on.name == replayed_on.name
+        store = TraceStore(tmp_path / "traces")
+        config = MatmulConfig.quick()
+        program = MATMUL["threaded"](config)
+        capture = TraceCapture()
+        live = Simulator(captured_on, verify=False).run(program, capture=capture)
+        key = trace_key_for(program, config, captured_on, 4096)
+        store.put(key, capture, live, captured_on, 4096)
+        with pytest.raises(ValueError, match="l1d_lines"):
+            Simulator(replayed_on, verify=False).replay(store.get(key))
+
+    @pytest.mark.parametrize(
+        "field", ["l1d_lines", "l1d_assoc", "l2_line_bits", "l2_lines", "l2_assoc"]
+    )
+    def test_every_geometry_field_is_checked(self, stored_sor, field):
+        machine, _, stored = stored_sor
+        stored.header[field] *= 2
+        with pytest.raises(ValueError, match=field):
             Simulator(machine, verify=False).replay(stored)
 
 
@@ -89,6 +118,9 @@ class RecordingProfiler:
     def on_batch(self, hierarchy, *args):
         self.batches += 1
 
+    def finish(self, hierarchy):
+        pass
+
 
 class TestVerifiedReplay:
     def test_oracle_declines_fast_path_but_stats_agree(
@@ -124,7 +156,7 @@ class TestSidecarsKeepTheDictKernel:
     ):
         machine, live, stored = stored_sor
         profiler = RecordingProfiler()
-        with_sidecar(monkeypatch, lambda h: setattr(h, "profiler", profiler))
+        with_sidecar(monkeypatch, lambda h: h.attach(profiler))
         replayed = Simulator(machine, verify=False).replay(stored)
         assert vectorized_steps == []
         assert replayed.replay_path == "dict"
@@ -134,7 +166,7 @@ class TestSidecarsKeepTheDictKernel:
     def test_tap_declines_fast_path(self, stored_sor, vectorized_steps, monkeypatch):
         machine, live, stored = stored_sor
         capture = TraceCapture()
-        with_sidecar(monkeypatch, lambda h: setattr(h, "tap", capture))
+        with_sidecar(monkeypatch, lambda h: h.attach(capture))
         replayed = Simulator(machine, verify=False).replay(stored)
         assert vectorized_steps == []
         assert replayed.replay_path == "dict"
@@ -149,7 +181,7 @@ class TestSamplerParity:
         machine, _, stored = stored_sor
         monkeypatch.setattr(engine, "REPLAY_CHUNK_LINES", 1024)
         hierarchy = machine.build_hierarchy()
-        hierarchy.observer = CacheSampler(Telemetry())
+        hierarchy.attach(CacheSampler(Telemetry()))
         assert fast_replay_supported(hierarchy, stored)
 
         def series(vectorized):
@@ -174,6 +206,62 @@ class TestSamplerParity:
         chunks = len(_chunk_batches(stored.batch_ends))
         assert chunks > DEFAULT_INTERVAL
         assert len(fast["cache.l1.classes"]) == chunks // DEFAULT_INTERVAL + 1
+
+
+class TestRunReplayParity:
+    """A live run and the replay of its capture share one setup and
+    finish path: every sidecar finishes once per simulation, and the
+    statistics agree."""
+
+    SIDECARS = (CacheOracle, CacheSampler, LocalityProfiler, TraceCapture)
+
+    def test_finish_once_per_sidecar_and_snapshots_equal(self, tmp_path, monkeypatch):
+        finished = []
+        for cls in self.SIDECARS:
+            real = cls.finish
+
+            def spy(self, hierarchy, real=real):
+                finished.append(type(self).__name__)
+                return real(self, hierarchy)
+
+            monkeypatch.setattr(cls, "finish", spy)
+        machine = r8000_scaled(quick=True)
+        config = MatmulConfig.quick()
+        program = MATMUL["threaded"](config)
+        simulator = Simulator(machine, verify=True, telemetry=Telemetry())
+        capture = TraceCapture()
+        with collector_scope(ProfileCollector()) as collector:
+            live = simulator.run(program, capture=capture)
+        assert sorted(finished) == sorted(cls.__name__ for cls in self.SIDECARS)
+        assert len(collector.profilers) == 1
+        store = TraceStore(tmp_path / "traces")
+        key = trace_key_for(program, config, machine, 4096)
+        store.put(key, capture, live, machine, 4096)
+        finished.clear()
+        replayed = simulator.replay(store.get(key))
+        assert sorted(finished) == ["CacheOracle", "CacheSampler"]
+        assert replayed.verified and live.verified
+        assert replayed.stats == live.stats
+        assert replayed.time == live.time
+
+    def test_run_and_replay_never_call_each_other(self, stored_sor, monkeypatch):
+        # A benchmark that counts both entry points digests each call as
+        # one simulation; a call through the other would count twice.
+        machine, _, stored = stored_sor
+        calls = []
+        for name in ("run", "replay"):
+            real = getattr(Simulator, name)
+
+            def spy(self, *args, real=real, name=name, **kwargs):
+                calls.append(name)
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(Simulator, name, spy)
+        simulator = Simulator(machine, verify=False)
+        simulator.run(SOR["threaded"](SorConfig.quick()))
+        assert calls == ["run"]
+        simulator.replay(stored)
+        assert calls == ["run", "replay"]
 
 
 class TestChunkBatches:

@@ -25,6 +25,7 @@ from repro.trace import replay as replay_module
 from repro.trace.store import (
     StoredTrace,
     TraceCapture,
+    cache_geometry,
     dedup_mask,
     shadow_hit_bits,
 )
@@ -48,8 +49,7 @@ def stored_trace(batches) -> StoredTrace:
     header = {
         "machine": MACHINE.name,
         "program": "stream",
-        "line_bits": MACHINE.l1d.line_bits,
-        "l1d_lines": MACHINE.l1d.num_lines,
+        **cache_geometry(MACHINE),
         "code_footprint": 0,
         "app_instructions": 0,
         "thread_instructions": 0,

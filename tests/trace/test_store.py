@@ -21,11 +21,14 @@ from repro.apps.sor import SorConfig, VERSIONS as SOR
 from repro.machine.presets import r8000, r10000
 from repro.resilience.errors import CheckpointError
 from repro.sim.engine import Simulator, _chunk_batches
+from repro.trace import store as store_module
 from repro.trace.store import (
     TraceCapture,
     TraceStore,
+    code_hash,
     current_trace_store,
     dedup_mask,
+    import_closure,
     load_trace,
     open_trace_store,
     shadow_hit_bits,
@@ -149,6 +152,78 @@ class TestContentAddress:
         )
         assert key.app == "matmul"
         assert key.version == "matmul_threaded"
+
+
+class TestCodeHash:
+    """The code hash covers the program's whole import closure: editing
+    any module in it changes every key built from that program."""
+
+    @pytest.mark.parametrize("app", [app for app, _, _ in APPS])
+    def test_editing_any_module_in_the_closure_changes_the_key(self, app, monkeypatch):
+        module = f"repro.apps.{app}.programs"
+        closure = import_closure(module)
+        base = code_hash(module)
+        source = store_module._module_source
+        for name in closure:
+
+            def edited(module_name, name=name):
+                digest, imports = source(module_name)
+                return ("edited" if module_name == name else digest), imports
+
+            with monkeypatch.context() as patch:
+                patch.setattr(store_module, "_module_source", edited)
+                assert code_hash(module) != base, name
+        assert code_hash(module) == base
+
+    def test_closure_reaches_modules_that_shape_the_stream(self):
+        # The allocation stagger (sim.engine), the program context, and
+        # modules the programs reach only through other app modules.
+        for app, reached in (
+            ("sor", "repro.apps.sor.kernels"),
+            ("nbody", "repro.apps.nbody.tree"),
+        ):
+            closure = import_closure(f"repro.apps.{app}.programs")
+            for name in (
+                f"repro.apps.{app}.programs",
+                reached,
+                "repro.sim.engine",
+                "repro.sim.context",
+                "repro.trace.recorder",
+                "repro.core.package",
+                "repro.mem.allocator",
+            ):
+                assert name in closure, (app, name)
+
+    def test_import_scan_finds_lazy_and_parenthesised_imports(self):
+        source = (
+            "import repro.cache.classify\n"
+            "from repro.trace import (\n"
+            "    recorder,  # converts segments\n"
+            "    blocks as b,\n"
+            ")\n"
+            "def later():\n"
+            "    from repro.sim.context import SimContext\n"
+            "    return SimContext\n"
+        )
+        assert set(store_module._imported_modules(source)) == {
+            "repro.cache.classify",
+            "repro.trace",
+            "repro.trace.recorder",
+            "repro.trace.blocks",
+            "repro.sim.context",
+        }
+
+    def test_program_outside_the_package_is_hashed_from_its_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "outside_program.py"
+        path.write_text("def program(ctx):\n    from repro.apps.sor import kernels\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        assert "repro.apps.sor.kernels" in import_closure("outside_program")
+        before = code_hash("outside_program")
+        path.write_text("def program(ctx):\n    return None\n")
+        store_module._module_source.cache_clear()  # a new process
+        assert code_hash("outside_program") != before
 
 
 class TestIntegrity:

@@ -28,7 +28,7 @@ class TestCleanRuns:
     def test_clean_hierarchy_passes_every_batch(self, tiny_cache):
         hierarchy = make_hierarchy(tiny_cache)
         oracle = CacheOracle(machine="m", program="p")
-        hierarchy.oracle = oracle
+        hierarchy.attach(oracle)
         hierarchy.access_data(list(range(64)))
         hierarchy.access_data(list(range(64)))  # revisit: hits + capacity
         oracle.final_check(hierarchy)
@@ -37,7 +37,7 @@ class TestCleanRuns:
     def test_structural_check_runs_on_schedule(self, tiny_cache):
         hierarchy = make_hierarchy(tiny_cache)
         oracle = CacheOracle(structural_every=2)
-        hierarchy.oracle = oracle
+        hierarchy.attach(oracle)
         for line in range(4):
             hierarchy.access_data([line])
         assert oracle.batches_checked == 4
@@ -124,7 +124,7 @@ class TestCorruption:
 class TestInjectedFault:
     def test_armed_oracle_fault_becomes_verification_error(self, tiny_cache):
         hierarchy = make_hierarchy(tiny_cache)
-        hierarchy.oracle = CacheOracle(machine="m", program="p")
+        hierarchy.attach(CacheOracle(machine="m", program="p"))
         FAULTS.arm("verify.oracle", mode="fail")
         with pytest.raises(VerificationError) as excinfo:
             hierarchy.access_data([0])
@@ -135,7 +135,7 @@ class TestInjectedFault:
 
     def test_fault_consumed_after_firing(self, tiny_cache):
         hierarchy = make_hierarchy(tiny_cache)
-        hierarchy.oracle = CacheOracle()
+        hierarchy.attach(CacheOracle())
         FAULTS.arm("verify.oracle", mode="fail", times=1)
         with pytest.raises(VerificationError):
             hierarchy.access_data([0])
